@@ -23,7 +23,7 @@ from repro.analysis import batched_waveform_errors
 from repro.circuit import TransientOptions, transient_analysis
 from repro.circuit.waveforms import Sine
 from repro.circuits import build_output_buffer
-from repro.runtime import compile_model
+from repro.runtime import compile_model, evaluate_batch
 
 from .artifacts import record_benchmark
 
@@ -33,6 +33,24 @@ N_STIMULI = 1000
 N_STEPS = 256
 #: Full transients actually run to estimate the per-stimulus engine cost.
 N_REFERENCE = 4
+#: Batch shapes ``(rows, steps)`` whose kernel phase split is recorded: a
+#: full 64-row serving batch and a lone online request.
+PHASE_SHAPES = ((64, 1024), (1, 256))
+#: Timed kernel calls per shape (the median call is recorded).
+PHASE_REPEATS = 15
+
+
+def kernel_phases(compiled, stimuli: np.ndarray) -> dict:
+    """Median per-call wall time of each kernel phase
+    (``evaluate_batch(timings=...)``) on one batch, in milliseconds."""
+    calls = []
+    out = np.empty_like(stimuli)
+    for _ in range(PHASE_REPEATS):
+        timings: dict = {}
+        evaluate_batch(compiled, stimuli, out=out, timings=timings)
+        calls.append(timings)
+    return {name[:-2] + "_ms": 1e3 * float(np.median([c[name] for c in calls]))
+            for name in ("lookup_s", "scan_s", "eval_s", "stage_out_s")}
 
 
 class TestBatchedRuntimeSpeedup:
@@ -90,6 +108,18 @@ class TestBatchedRuntimeSpeedup:
                   f"({speedup:.0f}x); sampled accuracy "
                   f"{errors.max_relative_rmse():.2e} relative RMSE")
 
+        phase_split = {}
+        for rows, steps in PHASE_SHAPES:
+            grid = compiled.time_axis(steps)
+            batch = offset + amps[:rows, None] * np.sin(
+                2.0 * np.pi * freqs[:rows, None] * grid[None, :]
+                + phases[:rows, None])
+            phase_split[f"{rows}x{steps}"] = kernel_phases(compiled, batch)
+        with capsys.disabled():
+            for shape, split in phase_split.items():
+                print(f"[runtime kernel] {shape}: " + ", ".join(
+                    f"{name} {value:.3f}" for name, value in split.items()))
+
         record_benchmark("BENCH_runtime.json", "batched_buffer_serving", {
             "n_stimuli": N_STIMULI,
             "n_steps": N_STEPS,
@@ -101,6 +131,7 @@ class TestBatchedRuntimeSpeedup:
             "sampled_max_relative_rmse": errors.max_relative_rmse(),
             "n_branches": compiled.n_branches,
             "n_states": compiled.n_states,
+            "kernel_phases_ms": phase_split,
         })
 
         # The served outputs must still track the engine on the sampled

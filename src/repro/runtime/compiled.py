@@ -7,18 +7,16 @@ partial-fraction evaluation per branch per sample, one complex scalar
 recurrence per branch.  :func:`compile_model` removes every remaining Python
 indirection by freezing the model at a fixed sample interval ``dt``:
 
-* each branch's first-order filter is folded into **real-valued recurrence
+* each branch's first-order filter is folded into **recurrence
   coefficients**.  The exact exponential update
   ``y_{n+1} = E y_n + W0 v_n + W1 (v_{n+1}-v_n)`` (see
-  :mod:`repro.rvf.timedomain`) with complex ``E = exp(a dt)`` becomes a real
-  2x2 rotation-scaling block per branch — two real states advanced with pure
-  array arithmetic, no complex dtype on the hot path;
+  :mod:`repro.rvf.timedomain`) with complex ``E = exp(a dt)`` is stored as a
+  real 2x2 rotation-scaling block per branch (the registry format);
 * each branch's **static nonlinear map** ``f_p(u)`` (and the static path
-  ``F_0(u)``) is tabulated on a uniform input grid and evaluated by vectorised
-  linear interpolation, so serving never touches the analytical
-  partial-fraction objects;
+  ``F_0(u)``) is tabulated on a uniform input grid, so serving never touches
+  the analytical partial-fraction objects;
 * everything lands in a plain :class:`CompiledModel` of NumPy arrays, which
-  batch-evaluates thousands of stimuli in lock-step
+  folds those arrays once more into the serving tables of the batch kernel
   (:mod:`repro.runtime.batch`) and serialises losslessly through the model
   registry (:mod:`repro.runtime.registry`).
 
@@ -35,6 +33,7 @@ import numpy as np
 
 from ..exceptions import ModelError
 from ..rvf.hammerstein import HammersteinModel, _evaluate_state_function
+from .batch import DEFAULT_CHUNK_BYTES, evaluate_batch
 
 __all__ = ["CompiledModel", "compile_model"]
 
@@ -61,8 +60,28 @@ class CompiledModel:
 
     where ``beta(i) = state_branch[i]`` maps states to branches and
     ``v^r/v^i`` are the tabulated real/imaginary parts of the branch drive
-    ``f_p(u)``.  The output is ``F_0(u_n) + c^T S_n``.  All arrays are
-    read-only inputs of the batch evaluator; none are mutated at serve time.
+    ``f_p(u)``.  The output is ``F_0(u_n) + c^T S_n``.  These fields are the
+    registry format; none are mutated at serve time.
+
+    Construction folds them into the tables the batch kernel reads.  Per
+    branch, the state pair is one complex state ``y`` scaled by its output
+    weight ``c``, with drive ``G(u_n) + H(u_{n+1})`` where
+    ``G = c (W0 - W1) f_p`` and ``H = c W1 f_p``.  Shifting the state to
+    ``z = y - H(u)`` leaves a one-sample drive,
+
+    .. math::
+
+        z_{n+1} = E z_n + Q(u_n), \\quad Q = G + E H, \\qquad
+        y_n = F_0(u_n) + \\sum_p \\mathrm{Re}\\,H_p(u_n)
+              + \\sum_p \\mathrm{Re}\\,z_{p,n},
+
+    so :attr:`drive_table` holds ``F_0 + Re sum H`` and each branch's
+    ``Re Q`` / ``Im Q`` on the input grid, followed by their per-interval
+    slopes: linear interpolation is linear in the table values, so one
+    gather per sample and one multiply-add evaluate every map.  The
+    equilibrium start ``z_0 = c (-1/a - W1) f_p(u_0)`` is needed at the
+    first sample only, so it is :attr:`start_weights` times the branch
+    tables there; :attr:`step_poles` holds the complex ``E`` per branch.
     """
 
     #: Fixed sample interval the recurrence was folded at.
@@ -98,6 +117,29 @@ class CompiledModel:
     output_name: str = "y"
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        re, im = slice(0, None, 2), slice(1, None, 2)
+        c = self.c_out[re]
+        w1 = c * (self.b1r[re] + 1j * self.b1r[im])
+        #: Complex per-step multiplier ``E = exp(a dt)`` of each branch.
+        self.step_poles = self.a_diag[re] + 1j * self.a_off[im]
+        #: Weight of ``f_p(u_0)`` in each branch's start ``z_0``.
+        self.start_weights = c * (self.init_vr[re] + 1j * self.init_vr[im]) - w1
+        q = c * (self.b0r[re] + 1j * self.b0r[im]) + (self.step_poles - 1.0) * w1
+        vr, vi = self.branch_vr, self.branch_vi
+        n_branches, n_table = vr.shape
+        #: ``[F_0 + Re sum H, Re Q, Im Q]`` rows over their per-interval
+        #: slopes (the last column's slope is never read), shape
+        #: ``(2 * (1 + 2 * n_branches), n_table)``.
+        self.drive_table = np.zeros((2 * (1 + 2 * n_branches), n_table))
+        values, slopes = np.split(self.drive_table, 2)
+        values[0] = self.static_table + (w1.real[:, None] * vr
+                                         - w1.imag[:, None] * vi).sum(axis=0)
+        qr, qi = q.real[:, None], q.imag[:, None]
+        values[1:1 + n_branches] = qr * vr - qi * vi
+        values[1 + n_branches:] = qi * vr + qr * vi
+        np.subtract(values[:, 1:], values[:, :-1], out=slopes[:, :-1])
+
     # ------------------------------------------------------------------ shape
     @property
     def n_branches(self) -> int:
@@ -121,9 +163,12 @@ class CompiledModel:
 
         This is what the serving layer's byte-budget LRU cache
         (:class:`repro.serve.cache.ModelCache`) charges per resident model;
-        the static tables dominate for any realistic ``table_size``.
+        the static tables and the serving tables folded from them dominate
+        for any realistic ``table_size``.
         """
-        return int(sum(array.nbytes for array in self.arrays().values()))
+        folded = (self.drive_table, self.step_poles, self.start_weights)
+        return int(sum(array.nbytes for array in self.arrays().values())
+                   + sum(array.nbytes for array in folded))
 
     @property
     def error_bound(self) -> float | None:
@@ -132,7 +177,8 @@ class CompiledModel:
         return None if bound is None else float(bound)
 
     # ------------------------------------------------------------- evaluation
-    def evaluate(self, inputs: np.ndarray, max_chunk_bytes: int = 256 << 20,
+    def evaluate(self, inputs: np.ndarray,
+                 max_chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Batched evaluation; delegates to :func:`repro.runtime.batch.evaluate_batch`.
 
@@ -142,8 +188,6 @@ class CompiledModel:
         dataplane's zero-copy path — see :func:`~repro.runtime.batch.
         evaluate_batch`).
         """
-        from .batch import evaluate_batch
-
         return evaluate_batch(self, inputs, max_chunk_bytes=max_chunk_bytes,
                               out=out)
 

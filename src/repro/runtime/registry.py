@@ -79,7 +79,8 @@ class ModelRegistry:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         #: In-memory cache of the parsed index, keyed by the index file's
-        #: ``st_mtime_ns`` so repeated ``keys()`` calls cost one ``stat``.
+        #: ``st_mtime_ns`` (the directory's, when the registry stamped it),
+        #: so repeated ``keys()`` and membership calls cost one ``stat``.
         self._index_cache: tuple[int, dict] | None = None
 
     # ------------------------------------------------------------------ paths
@@ -104,6 +105,11 @@ class ModelRegistry:
         written before the index update), and going through the staleness
         check there would turn every save into a full rescan.
 
+        The common case costs one ``stat``: when the directory's mtime still
+        equals the stamp of the cached parse, nothing was created, removed
+        or replaced in it since (the index itself is only ever replaced,
+        which touches the directory), so the cached parse is current.
+
         Limitation: a *foreign* change landing in the same filesystem
         timestamp tick as the stamp is indistinguishable from freshness
         (sub-ns on ext4, coarser elsewhere).  Concurrent cross-process
@@ -112,8 +118,13 @@ class ModelRegistry:
         belt-and-braces reconciliation.
         """
         try:
-            index_mtime = self._index_path().stat().st_mtime_ns
             root_mtime = self.root.stat().st_mtime_ns
+        except OSError:
+            return None
+        if self._index_cache is not None and self._index_cache[0] == root_mtime:
+            return self._index_cache[1]
+        try:
+            index_mtime = self._index_path().stat().st_mtime_ns
         except OSError:
             return None
         if root_mtime > index_mtime and not allow_stale:
@@ -295,14 +306,18 @@ class ModelRegistry:
             raise RegistryError(
                 f"corrupt registry archive {npz_path}: {exc}") from exc
 
-        model = CompiledModel(
-            dt=float(record["dt"]), u_min=float(record["u_min"]),
-            u_max=float(record["u_max"]),
-            input_name=record.get("input_name", "u"),
-            output_name=record.get("output_name", "y"),
-            metadata=record.get("metadata", {}),
-            **arrays,
-        )
+        try:
+            model = CompiledModel(
+                dt=float(record["dt"]), u_min=float(record["u_min"]),
+                u_max=float(record["u_max"]),
+                input_name=record.get("input_name", "u"),
+                output_name=record.get("output_name", "y"),
+                metadata=record.get("metadata", {}),
+                **arrays,
+            )
+        except (ValueError, IndexError) as exc:    # arrays that cannot fold
+            raise RegistryError(
+                f"corrupt registry archive {npz_path}: {exc}") from exc
         if verify:
             actual = content_hash(model)
             recorded = record.get("content_hash")
@@ -334,8 +349,8 @@ class ModelRegistry:
         return sorted(self._ensure_index()["entries"])
 
     def __contains__(self, key: str) -> bool:
-        if not self.root.is_dir():
-            return False
+        # No separate is_dir() check: the index read stats the root, and a
+        # missing root rebuilds to an empty index without writing one.
         return key in self._ensure_index()["entries"]
 
     def __len__(self) -> int:

@@ -212,6 +212,16 @@ class TestRegistry:
         with pytest.raises(RegistryError, match="corrupt|integrity"):
             registry.load(key)
 
+    def test_misshapen_archive_arrays_detected(self, compiled, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        key = registry.save(compiled)
+        arrays = dict(compiled.arrays())
+        arrays["b0r"] = arrays["b0r"][:1]           # no longer one per state
+        with open(tmp_path / f"{key}.npz", "wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(RegistryError, match="corrupt|integrity"):
+            registry.load(key)
+
     def test_tampered_metadata_detected(self, compiled, tmp_path):
         registry = ModelRegistry(tmp_path)
         key = registry.save(compiled)
